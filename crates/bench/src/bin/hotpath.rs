@@ -1,104 +1,82 @@
-//! Per-slot controller hot-path microbenchmark.
+//! Grid-cache horizon benchmark for the controller's `decide`.
 //!
-//! Times the control-plane work of one decision slot — sanitize, decide
-//! (incl. clamping and budget projection), and journal append — with the
-//! simulator's own `run_slot` timed separately so engine cost never
-//! pollutes the controller numbers. This is the measurement behind
-//! DESIGN.md §11/§12: Theorem 1's regret bound assumes the controller's
-//! decision latency is negligible against the slot length, and the L16
-//! cost ratchet exists to keep it that way.
+//! Runs the saddle-point Dragster through the real harness
+//! ([`run_experiment_with`]) with the GP grid cache on and off, timing
+//! only the policy's `decide` calls through an [`Autoscaler`] decorator.
+//! The two runs must produce **equal traces** — the cache is an
+//! optimisation, never a behaviour change — and the cached controller
+//! must grow ~linearly in history length where the naive one grows
+//! quadratically (DESIGN §12). Per-layer timings of the whole slot
+//! (sanitize, journal, checkpoint, engine) come from
+//! `perfbench --trace 1`, not from here.
 //!
 //! ```text
-//! cargo run --release -p dragster-bench --bin hotpath -- <label>
+//! cargo run --release -p dragster-bench --bin hotpath
 //! cargo run --release -p dragster-bench --bin hotpath -- --check
 //! ```
 //!
-//! The labeled mode additionally runs a horizon-scaling sweep
-//! (60/240/960 slots) with the GP grid cache on and off, asserting the
-//! two modes decide **bit-identically** every slot and recording the
-//! per-slot decide growth between horizons — the cached controller grows
-//! ~linearly in history length, the naive one quadratically (DESIGN §12).
-//! Results merge into `results/hotpath.json` under `<label>` (default
-//! `current`) plus a shared `horizon_sweep` section, so a `before` run
-//! followed by an `after` run yields one file with both sides of a perf
-//! change.
-//!
-//! `--check` is the CI smoke mode: cached vs naive decide cost at one
-//! mid-size horizon, measured in the same process so machine speed
-//! cancels out. It exits non-zero unless the cache beats the naive path
-//! by >25% (a bypassed cache measures ~1.0×) and re-asserts slot-by-slot
-//! decision bit-identity. It reads and writes no files — `results/*.json`
-//! is gitignored, so an absolute ns baseline would neither exist on a
-//! fresh checkout nor transfer across machines.
+//! The default mode sweeps 60/240/960 slots into `results/hotpath.json`
+//! (`horizon_sweep`). `--check` is the CI smoke mode: one mid-size horizon,
+//! both modes in the same process so machine speed cancels out; it exits
+//! non-zero unless the cache beats the naive path by >25% (a bypassed cache
+//! measures ~1.0×). It reads and writes no files — `results/*.json` is
+//! gitignored, so an absolute ns baseline would neither exist on a fresh
+//! checkout nor transfer across machines.
 
 use std::time::Instant;
 
-use dragster_bench::runner::make_scaler;
-use dragster_bench::runner::Scheme;
+use dragster_bench::runner::{make_scaler, Scheme};
 use dragster_core::{Dragster, DragsterConfig, UcbConfig};
 use dragster_sim::fluid::SimConfig;
-use dragster_sim::harness::project_to_budget;
 use dragster_sim::json::{self, Json};
 use dragster_sim::{
-    ArrivalProcess, Autoscaler, ClusterConfig, ConstantArrival, DecisionJournal, Deployment,
-    FluidSim, JournalRecord, MetricSanitizer, NoiseConfig, ReconfigOutcome, SanitizeConfig,
+    run_experiment_with, Autoscaler, ClusterConfig, ConstantArrival, Deployment, ExperimentOptions,
+    FluidSim, NoiseConfig, SimError, SlotMetrics, Trace,
 };
 use dragster_workloads::{word_count, Workload};
 
-const SLOTS: usize = 60;
-const SEEDS: [u64; 3] = [11, 23, 47];
 const SWEEP_HORIZONS: [usize; 3] = [60, 240, 960];
-const SWEEP_SEED: u64 = 11;
+const SEED: u64 = 11;
+const BUDGET_PODS: Option<usize> = Some(200);
 const CHECK_SLOTS: usize = 240;
 const CHECK_MIN_SPEEDUP_FRAC: f64 = 0.25;
 
-/// Nanosecond samples for one timed section.
-#[derive(Default)]
-struct Section {
-    samples: Vec<u128>,
+/// Times every `decide` of the wrapped policy; the rest of the slot runs
+/// in the harness untouched.
+struct DecideTimer {
+    inner: Box<dyn Autoscaler>,
+    total_ns: u128,
+    calls: u128,
 }
 
-impl Section {
-    fn push(&mut self, ns: u128) {
-        self.samples.push(ns);
+impl Autoscaler for DecideTimer {
+    fn name(&self) -> String {
+        self.inner.name()
     }
 
-    fn mean_ns(&self) -> u128 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        self.samples.iter().sum::<u128>() / self.samples.len() as u128
+    fn decide(
+        &mut self,
+        t: usize,
+        metrics: &SlotMetrics,
+        current: &Deployment,
+    ) -> Result<Deployment, SimError> {
+        let start = Instant::now();
+        let decision = self.inner.decide(t, metrics, current);
+        self.total_ns += start.elapsed().as_nanos();
+        self.calls += 1;
+        decision
     }
-
-    fn p95_ns(&self) -> u128 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        sorted[(sorted.len() - 1) * 95 / 100]
-    }
-}
-
-/// All timed sections of one measurement run.
-#[derive(Default)]
-struct Timings {
-    sim: Section,
-    sanitize: Section,
-    decide: Section,
-    journal: Section,
-    controller: Section,
 }
 
 /// The saddle-point Dragster with the grid cache switched off — the naive
 /// O(t²)-per-query baseline, otherwise identical to what `make_scaler`
 /// builds for `Scheme::DragsterSaddle`.
-fn make_naive_scaler(w: &Workload, budget_pods: Option<usize>) -> Box<dyn Autoscaler> {
+fn make_naive_scaler(w: &Workload) -> Box<dyn Autoscaler> {
     let saddle = DragsterConfig::saddle_point();
     Box::new(Dragster::new(
         w.app.topology.clone(),
         DragsterConfig {
-            budget_pods,
+            budget_pods: BUDGET_PODS,
             ucb: UcbConfig {
                 grid_cache: false,
                 ..saddle.ucb
@@ -108,141 +86,76 @@ fn make_naive_scaler(w: &Workload, budget_pods: Option<usize>) -> Box<dyn Autosc
     ))
 }
 
-/// Run `slots` decision slots with the given scaler, timing each section
-/// and collecting the per-slot feasible decisions for identity checks.
-fn run_slots(
-    w: &Workload,
-    mut scaler: Box<dyn Autoscaler>,
-    slots: usize,
-    seed: u64,
-    timings: &mut Timings,
-) -> Vec<Vec<usize>> {
+/// Run `slots` slots of the harness with `scaler`; returns the trace and
+/// the mean `decide` time in ns.
+fn timed_run(w: &Workload, scaler: Box<dyn Autoscaler>, slots: usize) -> (Trace, u128) {
     let mut sim = FluidSim::new(
         w.app.clone(),
         ClusterConfig::default(),
         SimConfig::default(),
         NoiseConfig::default(),
-        seed,
-        Deployment::uniform(2, 1),
+        SEED,
+        Deployment::uniform(w.app.n_operators(), 1),
     )
     .expect("simulator accepts the application");
-    let mut arr = ConstantArrival(w.high_rate.clone());
-    let mut sanitizer = MetricSanitizer::new(SanitizeConfig::default());
-    let mut journal = DecisionJournal::new();
-    let max_tasks = sim.cluster().max_tasks_per_operator;
-    let budget = sim.cluster().budget_pods;
-    let mut decisions = Vec::with_capacity(slots);
-
-    for t in 0..slots {
-        let rates = arr.rates(t);
-        let deployment_before = sim.deployment().tasks.clone();
-
-        let t0 = Instant::now();
-        let raw = sim.run_slot(&rates);
-        timings.sim.push(t0.elapsed().as_nanos());
-
-        // Controller section mirrors `run_experiment_recoverable`'s
-        // data plane: the raw clone is journal prep, charged there.
-        let t1 = Instant::now();
-        let for_journal = raw.clone();
-        let metrics = sanitizer.sanitize(raw);
-        let sanitize_ns = t1.elapsed().as_nanos();
-
-        let t2 = Instant::now();
-        let proposal = scaler
-            .decide(t, &metrics, sim.deployment())
-            .expect("decide succeeds");
-        let feasible = project_to_budget(proposal.clamped(max_tasks), budget);
-        let decide_ns = t2.elapsed().as_nanos();
-
-        let t3 = Instant::now();
-        journal.append(&JournalRecord {
-            t,
-            raw: for_journal,
-            deployment_before,
-            decided: feasible.tasks.clone(),
-            outcome: ReconfigOutcome::Applied,
-        });
-        let journal_ns = t3.elapsed().as_nanos();
-
-        timings.sanitize.push(sanitize_ns);
-        timings.decide.push(decide_ns);
-        timings.journal.push(journal_ns);
-        timings
-            .controller
-            .push(sanitize_ns + decide_ns + journal_ns);
-
-        decisions.push(feasible.tasks.clone());
-        sim.reconfigure(feasible).expect("reconfigure succeeds");
-    }
-    decisions
+    let mut timer = DecideTimer {
+        inner: scaler,
+        total_ns: 0,
+        calls: 0,
+    };
+    let trace = run_experiment_with(
+        &mut sim,
+        &mut timer,
+        &mut ConstantArrival(w.high_rate.clone()),
+        slots,
+        ExperimentOptions::default(),
+    )
+    .expect("harness run succeeds");
+    (trace, timer.total_ns / timer.calls.max(1))
 }
 
-fn ns(v: u128) -> Json {
-    json::num(usize::try_from(v).unwrap_or(usize::MAX))
-}
-
-/// One cached-vs-naive horizon measurement for the scaling sweep.
+/// Cached vs naive mean decide time at one horizon, asserting the two
+/// runs leave equal traces.
 fn sweep_point(w: &Workload, slots: usize) -> (u128, u128) {
-    let mut cached_t = Timings::default();
-    let cached_decisions = run_slots(
-        w,
-        make_scaler(Scheme::DragsterSaddle, &w.app, Some(200), SWEEP_SEED),
-        slots,
-        SWEEP_SEED,
-        &mut cached_t,
+    let cached_scaler = make_scaler(Scheme::DragsterSaddle, &w.app, BUDGET_PODS, SEED);
+    let (cached, cached_ns) = timed_run(w, cached_scaler, slots);
+    let (naive, naive_ns) = timed_run(w, make_naive_scaler(w), slots);
+    assert!(
+        cached == naive,
+        "grid cache changed the trace at horizon {slots} — the cache must be bit-identical"
     );
-    let mut naive_t = Timings::default();
-    let naive_decisions = run_slots(
-        w,
-        make_naive_scaler(w, Some(200)),
-        slots,
-        SWEEP_SEED,
-        &mut naive_t,
-    );
-    assert_eq!(
-        cached_decisions, naive_decisions,
-        "grid cache changed a decision at horizon {slots} — the cache must be bit-identical"
-    );
-    (cached_t.decide.mean_ns(), naive_t.decide.mean_ns())
+    (cached_ns, naive_ns)
 }
 
-fn growth_ratio(later: u128, earlier: u128) -> f64 {
+fn ratio(later: u128, earlier: u128) -> f64 {
     if earlier == 0 {
         return 0.0;
     }
     later as f64 / earlier as f64
 }
 
-fn json_f64(v: f64) -> Json {
-    // The repo's minimal JSON writer only has integer numbers; fixed-point
-    // ×100 keeps two decimals without a float rendering path.
-    json::num((v * 100.0).round().max(0.0) as usize)
-}
-
 /// CI smoke: cached vs naive decide cost at one mid-size horizon,
 /// measured back-to-back in the same process so machine speed cancels
-/// out of the ratio. `sweep_point` also re-asserts the two modes decide
-/// bit-identically every slot. Reads and writes nothing.
+/// out of the ratio. Reads and writes nothing.
 fn check_mode() -> ! {
     let w = word_count().expect("workload builds");
     let (cached_ns, naive_ns) = sweep_point(&w, CHECK_SLOTS);
-    let ratio = growth_ratio(naive_ns, cached_ns);
+    let speedup = ratio(naive_ns, cached_ns);
     let floor = 1.0 + CHECK_MIN_SPEEDUP_FRAC;
     println!(
         "hotpath --check: {CHECK_SLOTS} slots, cached decide {cached_ns} ns/slot vs naive \
-         {naive_ns} ns/slot = {ratio:.2}x (floor {floor:.2}x)"
+         {naive_ns} ns/slot = {speedup:.2}x (floor {floor:.2}x)"
     );
-    if ratio < floor {
+    if speedup < floor {
         eprintln!(
             "hotpath regression: at {CHECK_SLOTS} slots the grid cache only makes decide \
-             {ratio:.2}x faster than the naive O(t\u{b2}) path (floor {floor:.2}x; a bypassed \
+             {speedup:.2}x faster than the naive O(t\u{b2}) path (floor {floor:.2}x; a bypassed \
              cache measures ~1.0x).\n\
-             Triage: (1) profile with `cargo run --release -p dragster-bench --bin hotpath` \
-             and compare the horizon_sweep rows in results/hotpath.json — cached growth per \
-             4x horizon should stay ~1x while naive grows quadratically; (2) check whether a \
-             new GP query surface bypasses the GridCache (DESIGN \u{a7}12, CONTRIBUTING) — \
-             posterior calls in the decide path must be O(t), not O(t\u{b2}); (3) run \
+             Triage: (1) run `cargo run --release -p dragster-bench --bin hotpath` and compare \
+             the horizon_sweep rows in results/hotpath.json — cached growth per 4x horizon \
+             should stay ~1x while naive grows quadratically; (2) check whether a new GP query \
+             surface bypasses the GridCache (DESIGN \u{a7}12, CONTRIBUTING) — posterior calls \
+             in the decide path must be O(t), not O(t\u{b2}); (3) run \
              `cargo run -p dragster-lint -- --cost-ratchet` for new hot-path allocations."
         );
         std::process::exit(1);
@@ -251,122 +164,42 @@ fn check_mode() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--check") {
+    if std::env::args().skip(1).any(|a| a == "--check") {
         check_mode();
     }
-    // `--naive` runs the labeled section with the grid cache off, so a
-    // same-commit `before` (naive) / `after` (cached) pair is one
-    // invocation each.
-    let naive = args.iter().any(|a| a == "--naive");
-    let label = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "current".into());
     let w = word_count().expect("workload builds");
-
-    let mut t = Timings::default();
-    for &seed in &SEEDS {
-        let scaler = if naive {
-            make_naive_scaler(&w, Some(200))
-        } else {
-            make_scaler(Scheme::DragsterSaddle, &w.app, Some(200), seed)
-        };
-        run_slots(&w, scaler, SLOTS, seed, &mut t);
-    }
-
-    let stats = Json::Obj(vec![
-        ("slots".to_string(), json::num(SLOTS)),
-        ("seeds".to_string(), json::num(SEEDS.len())),
-        (
-            "controller_mean_ns_per_slot".to_string(),
-            ns(t.controller.mean_ns()),
-        ),
-        (
-            "controller_p95_ns_per_slot".to_string(),
-            ns(t.controller.p95_ns()),
-        ),
-        ("sanitize_mean_ns".to_string(), ns(t.sanitize.mean_ns())),
-        ("decide_mean_ns".to_string(), ns(t.decide.mean_ns())),
-        ("journal_mean_ns".to_string(), ns(t.journal.mean_ns())),
-        ("sim_mean_ns_per_slot".to_string(), ns(t.sim.mean_ns())),
-    ]);
-
-    // Horizon sweep: cached vs naive decide cost as history grows. The
-    // growth ratios are ×100 fixed point (e.g. 412 ≈ 4.12× per 4× more
-    // slots — linear; a quadratic path shows ~16×). Skipped for `--naive`
-    // labels: the sweep itself already measures both modes.
-    let mut sweep_rows = Vec::new();
+    let ns = |v: u128| json::num(usize::try_from(v).unwrap_or(usize::MAX));
+    let mut rows = Vec::new();
     let mut prev: Option<(u128, u128)> = None;
     for &slots in &SWEEP_HORIZONS {
-        if naive {
-            break;
-        }
         let (cached_ns, naive_ns) = sweep_point(&w, slots);
         let mut row = vec![
             ("slots".to_string(), json::num(slots)),
             ("cached_decide_mean_ns".to_string(), ns(cached_ns)),
             ("naive_decide_mean_ns".to_string(), ns(naive_ns)),
             (
-                "naive_over_cached_x100".to_string(),
-                json_f64(growth_ratio(naive_ns, cached_ns)),
+                "naive_over_cached".to_string(),
+                Json::Num(ratio(naive_ns, cached_ns)),
             ),
         ];
+        // Growth of the per-slot mean vs the 4x shorter horizon: the cached
+        // path stays ~1x, the naive one grows with history length.
         if let Some((pc, pn)) = prev {
-            row.push((
-                "cached_growth_x100".to_string(),
-                json_f64(growth_ratio(cached_ns, pc)),
-            ));
-            row.push((
-                "naive_growth_x100".to_string(),
-                json_f64(growth_ratio(naive_ns, pn)),
-            ));
+            row.push(("cached_growth".to_string(), Json::Num(ratio(cached_ns, pc))));
+            row.push(("naive_growth".to_string(), Json::Num(ratio(naive_ns, pn))));
         }
         println!(
             "horizon {slots}: cached decide {} us, naive {} us ({:.2}x)",
             cached_ns / 1_000,
             naive_ns / 1_000,
-            growth_ratio(naive_ns, cached_ns),
+            ratio(naive_ns, cached_ns),
         );
-        sweep_rows.push(Json::Obj(row));
+        rows.push(Json::Obj(row));
         prev = Some((cached_ns, naive_ns));
     }
-    let sweep = Json::Arr(sweep_rows);
-
-    // Merge under `label`, preserving other labels already in the file.
-    let path = std::path::Path::new("results/hotpath.json");
-    let mut pairs: Vec<(String, Json)> = match std::fs::read_to_string(path) {
-        Ok(text) => match json::parse_json(&text) {
-            Ok(Json::Obj(pairs)) => pairs,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-    let mut updates = vec![(label.clone(), stats)];
-    if !naive {
-        updates.push(("horizon_sweep".to_string(), sweep));
-    }
-    for (key, value) in updates {
-        if let Some(slot) = pairs.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = value;
-        } else {
-            pairs.push((key, value));
-        }
-    }
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut out = Json::Obj(pairs).render();
+    let mut out = Json::Obj(vec![("horizon_sweep".to_string(), Json::Arr(rows))]).render();
     out.push('\n');
-    std::fs::write(path, out).expect("write results/hotpath.json");
-
-    println!(
-        "hotpath[{label}]: controller mean {} us, p95 {} us (sanitize {} us, decide {} us, \
-         journal {} us); sim {} us per slot",
-        t.controller.mean_ns() / 1_000,
-        t.controller.p95_ns() / 1_000,
-        t.sanitize.mean_ns() / 1_000,
-        t.decide.mean_ns() / 1_000,
-        t.journal.mean_ns() / 1_000,
-        t.sim.mean_ns() / 1_000,
-    );
+    std::fs::create_dir_all("results").expect("results dir");
+    std::fs::write("results/hotpath.json", out).expect("write results/hotpath.json");
+    println!("wrote results/hotpath.json");
 }

@@ -197,6 +197,20 @@ pub fn run_chaos_case(
     })
 }
 
+/// The simulator every chaos run uses: default cluster, engine and noise,
+/// one task per operator. Callers attach their fault plan with
+/// [`FluidSim::with_faults`].
+fn make_sim(app: &Application, seed: u64) -> Result<FluidSim, SimError> {
+    FluidSim::new(
+        app.clone(),
+        ClusterConfig::default(),
+        SimConfig::default(),
+        NoiseConfig::default(),
+        seed,
+        Deployment::uniform(app.n_operators(), 1),
+    )
+}
+
 /// Run one scheme under a fault plan and return the full trace.
 ///
 /// # Errors
@@ -209,15 +223,7 @@ pub fn run_faulted(
     slots: usize,
     seed: u64,
 ) -> Result<Trace, SimError> {
-    let mut sim = FluidSim::new(
-        app.clone(),
-        ClusterConfig::default(),
-        SimConfig::default(),
-        NoiseConfig::default(),
-        seed,
-        Deployment::uniform(app.n_operators(), 1),
-    )?
-    .with_faults(plan);
+    let mut sim = make_sim(app, seed)?.with_faults(plan);
     let mut scaler = make_scaler(scheme, app, None, seed);
     let mut arrival = ConstantArrival(rates.to_vec());
     run_experiment_with(
@@ -243,14 +249,8 @@ pub fn verify_zero_fault_identity(
     seed: u64,
 ) -> Result<(), SimError> {
     let baseline = {
-        let mut sim = FluidSim::new(
-            app.clone(),
-            ClusterConfig::default(),
-            SimConfig::default(),
-            NoiseConfig::default(),
-            seed,
-            Deployment::uniform(app.n_operators(), 1),
-        )?;
+        // No `with_faults` here: this is the run the inert plan must match.
+        let mut sim = make_sim(app, seed)?;
         let mut scaler = make_scaler(scheme, app, None, seed);
         let mut arrival = ConstantArrival(rates.to_vec());
         run_experiment_with(
@@ -319,15 +319,7 @@ pub fn run_recoverable(
     seed: u64,
     rec: RecoveryOptions,
 ) -> Result<Trace, SimError> {
-    let mut sim = FluidSim::new(
-        app.clone(),
-        ClusterConfig::default(),
-        SimConfig::default(),
-        NoiseConfig::default(),
-        seed,
-        Deployment::uniform(app.n_operators(), 1),
-    )?
-    .with_faults(plan);
+    let mut sim = make_sim(app, seed)?.with_faults(plan);
     let mut scaler = make_scaler(scheme, app, None, seed);
     let mut arrival = ConstantArrival(rates.to_vec());
     run_experiment_recoverable(

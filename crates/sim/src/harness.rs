@@ -2,10 +2,12 @@
 //! Dragster and every baseline, arrival processes, and the slot loop of
 //! Algorithm 1 (launch → observe → decide → deploy → repeat).
 
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointStore, RetrySnapshot};
-use crate::cluster::Deployment;
+use crate::checkpoint::{
+    Checkpoint, CheckpointError, CheckpointStore, RetrySnapshot, CHECKPOINT_VERSION,
+};
+use crate::cluster::{ClusterConfig, Deployment};
 use crate::error::SimError;
-use crate::faults::{ControllerFaultDriver, FaultEvent, FaultKind};
+use crate::faults::{ControllerFault, ControllerFaultDriver, FaultEvent, FaultKind};
 use crate::fluid::FluidSim;
 use crate::journal::{DecisionJournal, JournalError, JournalRecord, ReconfigOutcome};
 use crate::json::Json;
@@ -312,6 +314,9 @@ pub fn run_experiment(
 ///    [`Trace::fault_events`] so recovery analysis can line dips up with
 ///    their causes.
 ///
+/// Controller faults in the plan are ignored; only
+/// [`run_experiment_recoverable`] drives them.
+///
 /// # Errors
 /// Any non-fault [`SimError`] raised by the oracle, the policy, or
 /// reconfiguration validation.
@@ -322,40 +327,7 @@ pub fn run_experiment_with(
     slots: usize,
     opts: ExperimentOptions,
 ) -> Result<Trace, SimError> {
-    let mut trace = Trace {
-        scheme: scaler.name(),
-        ..Default::default()
-    };
-    let mut sanitizer = MetricSanitizer::new(opts.sanitize);
-    let mut consecutive_failures = 0usize;
-    let mut next_attempt = 0usize;
-    for t in 0..slots {
-        let rates = arrivals.rates(t);
-        trace.deployments.push(sim.deployment().clone());
-        trace.ideal_throughput.push(sim.ideal_throughput(&rates)?);
-        let metrics = sanitizer.sanitize(sim.run_slot(&rates));
-        let proposal = scaler.decide(t, &metrics, sim.deployment())?;
-        let feasible = project_to_budget(
-            proposal.clamped(sim.cluster().max_tasks_per_operator),
-            sim.cluster().budget_pods,
-        );
-        if t >= next_attempt {
-            match sim.reconfigure(feasible) {
-                Ok(()) => consecutive_failures = 0,
-                Err(SimError::ReconfigFailed { .. }) => {
-                    consecutive_failures += 1;
-                    trace.reconfig_failures += 1;
-                    next_attempt = t + opts.retry.backoff_slots(consecutive_failures);
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            trace.held_slots += 1;
-        }
-        trace.fault_events.extend(sim.drain_fault_events());
-        trace.slots.push(metrics);
-    }
-    Ok(trace)
+    slot_loop(sim, scaler, arrivals, slots, opts, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -438,17 +410,6 @@ pub struct RecoveryEvent {
     pub action: RecoveryAction,
 }
 
-/// Result of a restore attempt: the rebuilt harness-side state, or the
-/// reason to degrade. Hard policy errors (a `decide` failure during
-/// replay) abort the run like they would in the live loop.
-struct RestoredState {
-    sanitizer: MetricSanitizer,
-    consecutive_failures: usize,
-    next_attempt: usize,
-    checkpoint_slot: usize,
-    replayed_slots: usize,
-}
-
 fn degrade_reason_of(e: &CheckpointError) -> DegradeReason {
     match e {
         CheckpointError::Missing => DegradeReason::MissingCheckpoint,
@@ -458,74 +419,13 @@ fn degrade_reason_of(e: &CheckpointError) -> DegradeReason {
     }
 }
 
-/// Restore-and-replay: validate the newest checkpoint, import the learner
-/// state, and replay the journal records up to (excluding) `crash_slot`.
-/// Returns `Ok(Err(reason))` when the run must degrade, `Err(e)` only for
-/// hard policy errors.
-#[allow(clippy::too_many_arguments)]
-fn try_restore(
-    store: &CheckpointStore,
-    journal: &DecisionJournal,
-    scaler: &mut dyn Autoscaler,
-    crash_slot: usize,
-    opts: &ExperimentOptions,
-    rec: &RecoveryOptions,
-    max_tasks: usize,
-    budget: Option<usize>,
-) -> Result<Result<RestoredState, DegradeReason>, SimError> {
-    let ckpt: Checkpoint = match store.load_validated(crash_slot, rec.max_checkpoint_age_slots) {
-        Ok(c) => c,
-        Err(e) => return Ok(Err(degrade_reason_of(&e))),
-    };
-    if ckpt.scheme != scaler.name() {
-        return Ok(Err(DegradeReason::SchemeMismatch));
+fn controller_event(slot: usize, kind: FaultKind) -> FaultEvent {
+    FaultEvent {
+        slot,
+        kind,
+        operator: None,
+        severity: 0.0,
     }
-    match &ckpt.scaler {
-        Some(state) => {
-            if scaler.import_state(state).is_err() {
-                return Ok(Err(DegradeReason::ImportFailed));
-            }
-        }
-        // A stateless policy's full state *is* the fresh state.
-        None => scaler.reset_state(),
-    }
-    let records = match journal.replay_range(ckpt.slot + 1, crash_slot) {
-        Ok(r) => r,
-        Err(JournalError::Corrupt { .. }) => return Ok(Err(DegradeReason::JournalCorrupt)),
-        Err(JournalError::Gap { .. }) => return Ok(Err(DegradeReason::JournalGap)),
-    };
-    let mut sanitizer = MetricSanitizer::from_snapshot(ckpt.sanitizer.clone());
-    let mut consecutive_failures = ckpt.retry.consecutive_failures;
-    let mut next_attempt = ckpt.retry.next_attempt;
-    let replayed_slots = records.len();
-    for r in &records {
-        let metrics = sanitizer.sanitize(r.raw.clone());
-        let before = Deployment {
-            tasks: r.deployment_before.clone(),
-        };
-        let proposal = scaler.decide(r.t, &metrics, &before)?;
-        let feasible = project_to_budget(proposal.clamped(max_tasks), budget);
-        if feasible.tasks != r.decided {
-            // The journal is the ground truth; a divergent replay means
-            // the restored learner state is wrong.
-            return Ok(Err(DegradeReason::ReplayDivergence));
-        }
-        match r.outcome {
-            ReconfigOutcome::Applied => consecutive_failures = 0,
-            ReconfigOutcome::Failed => {
-                consecutive_failures += 1;
-                next_attempt = r.t + opts.retry.backoff_slots(consecutive_failures);
-            }
-            ReconfigOutcome::Held => {}
-        }
-    }
-    Ok(Ok(RestoredState {
-        sanitizer,
-        consecutive_failures,
-        next_attempt,
-        checkpoint_slot: ckpt.slot,
-        replayed_slots,
-    }))
 }
 
 /// [`run_experiment_with`] under the crash-safe controller runtime.
@@ -553,9 +453,9 @@ fn try_restore(
 ///    [`RecoveryOptions::rewarm_slots`] slots, then resumes. Every
 ///    transition lands in [`Trace::recovery_events`].
 ///
-/// With an inert fault plan this runs the *exact* decision sequence of
-/// [`run_experiment_with`] (checkpointing and journaling never mutate
-/// controller state), so the two produce equal traces.
+/// Both entry points run the same slot loop, and checkpointing and
+/// journaling never mutate controller state, so with an inert fault plan
+/// the two produce equal traces.
 ///
 /// # Errors
 /// Any non-fault [`SimError`] raised by the oracle, the policy (live or
@@ -568,77 +468,193 @@ pub fn run_experiment_recoverable(
     opts: ExperimentOptions,
     rec: RecoveryOptions,
 ) -> Result<Trace, SimError> {
+    slot_loop(sim, scaler, arrivals, slots, opts, Some(rec))
+}
+
+/// The harness-side controller state: what a checkpoint stores beside the
+/// learner, and what journal replay rebuilds on top of it.
+struct LoopState {
+    sanitizer: MetricSanitizer,
+    retry: RetrySnapshot,
+}
+
+impl LoopState {
+    fn new(opts: &ExperimentOptions) -> Self {
+        LoopState {
+            sanitizer: MetricSanitizer::new(opts.sanitize),
+            retry: RetrySnapshot::default(),
+        }
+    }
+
+    /// Sanitize slot `t`'s raw snapshot, ask the policy for the next
+    /// deployment and clamp it to the task range and pod budget. The live
+    /// loop and journal replay both go through here.
+    fn propose(
+        &mut self,
+        scaler: &mut dyn Autoscaler,
+        t: usize,
+        raw: SlotMetrics,
+        current: &Deployment,
+        cluster: &ClusterConfig,
+    ) -> Result<(SlotMetrics, Deployment), SimError> {
+        let metrics = self.sanitizer.sanitize(raw);
+        let proposal = scaler.decide(t, &metrics, current)?;
+        let feasible = project_to_budget(
+            proposal.clamped(cluster.max_tasks_per_operator),
+            cluster.budget_pods,
+        );
+        Ok((metrics, feasible))
+    }
+
+    /// Advance the retry position past slot `t`'s reconfiguration outcome
+    /// (shared by the live loop and journal replay).
+    fn record_outcome(&mut self, policy: &RetryPolicy, t: usize, outcome: ReconfigOutcome) {
+        match outcome {
+            ReconfigOutcome::Applied => self.retry.consecutive_failures = 0,
+            ReconfigOutcome::Failed => {
+                self.retry.consecutive_failures += 1;
+                self.retry.next_attempt = t + policy.backoff_slots(self.retry.consecutive_failures);
+            }
+            ReconfigOutcome::Held => {}
+        }
+    }
+}
+
+/// The crash-safe runtime's machinery, present only under
+/// [`run_experiment_recoverable`].
+struct Recovery {
+    rec: RecoveryOptions,
+    driver: ControllerFaultDriver,
+    store: CheckpointStore,
+    journal: DecisionJournal,
+    /// End of the degraded-fallback window, when active.
+    fallback_until: Option<usize>,
+}
+
+impl Recovery {
+    /// Restore-and-replay: validate the newest checkpoint, import the
+    /// learner state, and replay the journal records up to (excluding)
+    /// `crash_slot` through the live loop's own propose and retry steps.
+    /// Returns `Ok(Err(reason))` when the run must degrade, `Err(e)` only
+    /// for hard policy errors.
+    fn try_restore(
+        &self,
+        scaler: &mut dyn Autoscaler,
+        crash_slot: usize,
+        opts: &ExperimentOptions,
+        cluster: &ClusterConfig,
+    ) -> Result<Result<(LoopState, RecoveryAction), DegradeReason>, SimError> {
+        let max_age = self.rec.max_checkpoint_age_slots;
+        let ckpt = match self.store.load_validated(crash_slot, max_age) {
+            Ok(c) => c,
+            Err(e) => return Ok(Err(degrade_reason_of(&e))),
+        };
+        if ckpt.scheme != scaler.name() {
+            return Ok(Err(DegradeReason::SchemeMismatch));
+        }
+        match &ckpt.scaler {
+            Some(state) => {
+                if scaler.import_state(state).is_err() {
+                    return Ok(Err(DegradeReason::ImportFailed));
+                }
+            }
+            // A stateless policy's full state *is* the fresh state.
+            None => scaler.reset_state(),
+        }
+        let records = match self.journal.replay_range(ckpt.slot + 1, crash_slot) {
+            Ok(r) => r,
+            Err(JournalError::Corrupt { .. }) => return Ok(Err(DegradeReason::JournalCorrupt)),
+            Err(JournalError::Gap { .. }) => return Ok(Err(DegradeReason::JournalGap)),
+        };
+        let action = RecoveryAction::Restored {
+            checkpoint_slot: ckpt.slot,
+            replayed_slots: records.len(),
+        };
+        let mut state = LoopState {
+            sanitizer: MetricSanitizer::from_snapshot(ckpt.sanitizer),
+            retry: ckpt.retry,
+        };
+        for r in records {
+            let before = Deployment {
+                tasks: r.deployment_before,
+            };
+            let (_, feasible) = state.propose(scaler, r.t, r.raw, &before, cluster)?;
+            if feasible.tasks != r.decided {
+                // The journal is the ground truth; a divergent replay means
+                // the restored learner state is wrong.
+                return Ok(Err(DegradeReason::ReplayDivergence));
+            }
+            state.record_outcome(&opts.retry, r.t, r.outcome);
+        }
+        Ok(Ok((state, action)))
+    }
+}
+
+/// The slot loop of Algorithm 1 behind both entry points. `rec` switches
+/// on the crash-safe runtime; without it the loop builds no controller
+/// fault driver, journal or checkpoint store, and never copies the raw
+/// metrics.
+fn slot_loop(
+    sim: &mut FluidSim,
+    scaler: &mut dyn Autoscaler,
+    arrivals: &mut dyn ArrivalProcess,
+    slots: usize,
+    opts: ExperimentOptions,
+    rec: Option<RecoveryOptions>,
+) -> Result<Trace, SimError> {
     let mut trace = Trace {
         scheme: scaler.name(),
         ..Default::default()
     };
-    let mut sanitizer = MetricSanitizer::new(opts.sanitize);
-    let mut consecutive_failures = 0usize;
-    let mut next_attempt = 0usize;
-    let mut store = CheckpointStore::new();
-    let mut journal = DecisionJournal::new();
-    let mut driver = ControllerFaultDriver::new(sim.fault_plan().clone(), sim.seed());
-    let checkpoint_every = rec.checkpoint_every.max(1);
-    // End of the degraded-fallback window, when active.
-    let mut fallback_until: Option<usize> = None;
+    let mut state = LoopState::new(&opts);
+    let mut recovery = rec.map(|rec| Recovery {
+        rec,
+        driver: ControllerFaultDriver::new(sim.fault_plan().clone(), sim.seed()),
+        store: CheckpointStore::new(),
+        journal: DecisionJournal::new(),
+        fallback_until: None,
+    });
     for t in 0..slots {
         // -- control plane: faults fire at the top of the slot ------------
-        let cf = driver.begin_slot(t);
-        if cf.corrupt_checkpoint {
-            store.corrupt_latest();
-            trace.fault_events.push(FaultEvent {
-                slot: t,
-                kind: FaultKind::CheckpointCorrupt,
-                operator: None,
-                severity: 0.0,
-            });
-        }
-        if cf.crash {
-            trace.controller_crashes += 1;
-            trace.fault_events.push(FaultEvent {
-                slot: t,
-                kind: FaultKind::ControllerCrash,
-                operator: None,
-                severity: 0.0,
-            });
-            trace.recovery_events.push(RecoveryEvent {
-                slot: t,
-                action: RecoveryAction::Crash,
-            });
-            let max_tasks = sim.cluster().max_tasks_per_operator;
-            let budget = sim.cluster().budget_pods;
-            match try_restore(&store, &journal, scaler, t, &opts, &rec, max_tasks, budget)? {
-                Ok(restored) => {
-                    sanitizer = restored.sanitizer;
-                    consecutive_failures = restored.consecutive_failures;
-                    next_attempt = restored.next_attempt;
-                    fallback_until = None;
-                    trace.recovery_events.push(RecoveryEvent {
-                        slot: t,
-                        action: RecoveryAction::Restored {
-                            checkpoint_slot: restored.checkpoint_slot,
-                            replayed_slots: restored.replayed_slots,
-                        },
-                    });
-                }
-                Err(reason) => {
-                    // Unrecoverable: clean cold start + hold the current
-                    // deployment while the learner re-warms.
-                    scaler.reset_state();
-                    sanitizer = MetricSanitizer::new(opts.sanitize);
-                    consecutive_failures = 0;
-                    next_attempt = 0;
-                    fallback_until = Some(t + rec.rewarm_slots);
-                    trace.recovery_events.push(RecoveryEvent {
-                        slot: t,
-                        action: RecoveryAction::Degraded { reason },
-                    });
-                }
+        let mut cf = ControllerFault::default();
+        if let Some(r) = recovery.as_mut() {
+            cf = r.driver.begin_slot(t);
+            if cf.corrupt_checkpoint {
+                r.store.corrupt_latest();
+                trace
+                    .fault_events
+                    .push(controller_event(t, FaultKind::CheckpointCorrupt));
             }
-        }
-        if let Some(until) = fallback_until {
-            if t >= until {
-                fallback_until = None;
+            if cf.crash {
+                trace.controller_crashes += 1;
+                trace
+                    .fault_events
+                    .push(controller_event(t, FaultKind::ControllerCrash));
+                trace.recovery_events.push(RecoveryEvent {
+                    slot: t,
+                    action: RecoveryAction::Crash,
+                });
+                let action = match r.try_restore(scaler, t, &opts, sim.cluster())? {
+                    Ok((restored, action)) => {
+                        state = restored;
+                        r.fallback_until = None;
+                        action
+                    }
+                    Err(reason) => {
+                        // Unrecoverable: clean cold start + hold the current
+                        // deployment while the learner re-warms.
+                        scaler.reset_state();
+                        state = LoopState::new(&opts);
+                        r.fallback_until = Some(t + r.rec.rewarm_slots);
+                        RecoveryAction::Degraded { reason }
+                    }
+                };
+                trace
+                    .recovery_events
+                    .push(RecoveryEvent { slot: t, action });
+            }
+            if r.fallback_until.is_some_and(|until| t >= until) {
+                r.fallback_until = None;
                 trace.recovery_events.push(RecoveryEvent {
                     slot: t,
                     action: RecoveryAction::Resumed,
@@ -646,33 +662,34 @@ pub fn run_experiment_recoverable(
             }
         }
 
-        // -- data plane: identical ordering to `run_experiment_with` ------
+        // -- data plane ---------------------------------------------------
         let rates = arrivals.rates(t);
-        let deployment_before = sim.deployment().clone();
-        trace.deployments.push(deployment_before.clone());
+        trace.deployments.push(sim.deployment().clone());
         trace.ideal_throughput.push(sim.ideal_throughput(&rates)?);
         let raw = sim.run_slot(&rates);
-        let metrics = sanitizer.sanitize(raw.clone());
+        let journal_raw = recovery.is_some().then(|| raw.clone());
         // `decide` runs even during fallback: the freshly reset learner
         // re-warms on live metrics while its proposals are held back.
-        let proposal = scaler.decide(t, &metrics, sim.deployment())?;
-        let feasible = project_to_budget(
-            proposal.clamped(sim.cluster().max_tasks_per_operator),
-            sim.cluster().budget_pods,
-        );
-        let outcome = if fallback_until.is_some() {
+        let (metrics, feasible) = state.propose(scaler, t, raw, sim.deployment(), sim.cluster())?;
+        // The outcome is filled in once the reconfiguration is settled.
+        let record = journal_raw.map(|raw| JournalRecord {
+            t,
+            raw,
+            deployment_before: sim.deployment().tasks.clone(),
+            decided: feasible.tasks.clone(),
+            outcome: ReconfigOutcome::Held,
+        });
+        let holding = recovery
+            .as_ref()
+            .is_some_and(|r| r.fallback_until.is_some());
+        let outcome = if holding {
             trace.fallback_slots += 1;
             ReconfigOutcome::Held
-        } else if t >= next_attempt {
-            match sim.reconfigure(feasible.clone()) {
-                Ok(()) => {
-                    consecutive_failures = 0;
-                    ReconfigOutcome::Applied
-                }
+        } else if t >= state.retry.next_attempt {
+            match sim.reconfigure(feasible) {
+                Ok(()) => ReconfigOutcome::Applied,
                 Err(SimError::ReconfigFailed { .. }) => {
-                    consecutive_failures += 1;
                     trace.reconfig_failures += 1;
-                    next_attempt = t + opts.retry.backoff_slots(consecutive_failures);
                     ReconfigOutcome::Failed
                 }
                 Err(e) => return Err(e),
@@ -681,38 +698,29 @@ pub fn run_experiment_recoverable(
             trace.held_slots += 1;
             ReconfigOutcome::Held
         };
+        state.record_outcome(&opts.retry, t, outcome);
         trace.fault_events.extend(sim.drain_fault_events());
         trace.slots.push(metrics);
 
         // -- durability: journal the slot, checkpoint on cadence ----------
-        journal.append(&JournalRecord {
-            t,
-            raw,
-            deployment_before: deployment_before.tasks,
-            decided: feasible.tasks,
-            outcome,
-        });
-        if t % checkpoint_every == 0 {
-            if cf.suppress_checkpoint {
-                trace.fault_events.push(FaultEvent {
-                    slot: t,
-                    kind: FaultKind::CheckpointStale,
-                    operator: None,
-                    severity: 0.0,
-                });
-            } else {
-                store.write(&Checkpoint {
-                    version: crate::checkpoint::CHECKPOINT_VERSION,
-                    slot: t,
-                    scheme: trace.scheme.clone(),
-                    deployment: sim.deployment().tasks.clone(),
-                    scaler: scaler.export_state(),
-                    sanitizer: sanitizer.snapshot(),
-                    retry: RetrySnapshot {
-                        consecutive_failures,
-                        next_attempt,
-                    },
-                });
+        if let (Some(r), Some(record)) = (recovery.as_mut(), record) {
+            r.journal.append(&JournalRecord { outcome, ..record });
+            if t % r.rec.checkpoint_every.max(1) == 0 {
+                if cf.suppress_checkpoint {
+                    trace
+                        .fault_events
+                        .push(controller_event(t, FaultKind::CheckpointStale));
+                } else {
+                    r.store.write(&Checkpoint {
+                        version: CHECKPOINT_VERSION,
+                        slot: t,
+                        scheme: trace.scheme.clone(),
+                        deployment: sim.deployment().tasks.clone(),
+                        scaler: scaler.export_state(),
+                        sanitizer: state.sanitizer.snapshot(),
+                        retry: state.retry,
+                    });
+                }
             }
         }
     }

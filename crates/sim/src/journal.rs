@@ -205,51 +205,55 @@ impl DecisionJournal {
 
     /// Decodes and returns the records for slots `from_slot..to_slot`
     /// (half-open), in slot order, verifying checksums and completeness.
-    /// Only records overlapping the range are decoded, so a torn record
-    /// *outside* the range does not block recovery.
+    /// Lines are decoded newest-first and the scan stops once every slot
+    /// in the range is filled, so records older than the range are never
+    /// decoded and a torn record there does not block recovery. When a
+    /// slot was journaled twice, the record appended last wins.
+    ///
+    /// # Errors
+    /// An incomplete range reports the lowest-index corrupt line when the
+    /// scan met one ([`JournalError::Corrupt`]), else the first missing
+    /// slot ([`JournalError::Gap`]).
     pub fn replay_range(
         &self,
         from_slot: usize,
         to_slot: usize,
     ) -> Result<Vec<JournalRecord>, JournalError> {
         let mut by_slot: Vec<Option<JournalRecord>> = vec![None; to_slot.saturating_sub(from_slot)];
-        // Sealed lines are opaque until decoded, so decode everything; a
-        // corrupt line only fails the replay if the range ends up
-        // incomplete (it may have held a slot we need).
+        let mut missing = by_slot.len();
+        // Scanning backwards, the last corrupt line seen has the lowest
+        // index. It only fails the replay if the range ends up incomplete
+        // (it may have held a slot we need).
         let mut first_corrupt: Option<(usize, String)> = None;
-        for (index, line) in self.lines.iter().enumerate() {
+        for (index, line) in self.lines.iter().enumerate().rev() {
+            if missing == 0 {
+                break;
+            }
             match JournalRecord::decode(line) {
                 Ok(rec) => {
-                    if rec.t >= from_slot && rec.t < to_slot {
-                        if let Some(cell) = by_slot.get_mut(rec.t - from_slot) {
-                            *cell = Some(rec);
-                        }
+                    let cell = rec
+                        .t
+                        .checked_sub(from_slot)
+                        .and_then(|i| by_slot.get_mut(i));
+                    if let Some(cell) = cell.filter(|c| c.is_none()) {
+                        *cell = Some(rec);
+                        missing -= 1;
                     }
                 }
-                Err(detail) => {
-                    if first_corrupt.is_none() {
-                        first_corrupt = Some((index, detail));
-                    }
-                }
+                Err(detail) => first_corrupt = Some((index, detail)),
             }
         }
-        let mut out = Vec::with_capacity(by_slot.len());
-        for (offset, cell) in by_slot.into_iter().enumerate() {
-            match cell {
-                Some(rec) => out.push(rec),
-                None => {
-                    // Corruption is the actionable cause when present —
-                    // the missing slot was likely inside the torn record.
-                    return Err(match first_corrupt {
-                        Some((index, detail)) => JournalError::Corrupt { index, detail },
-                        None => JournalError::Gap {
-                            slot: from_slot + offset,
-                        },
-                    });
-                }
-            }
+        if missing == 0 {
+            return Ok(by_slot.into_iter().flatten().collect());
         }
-        Ok(out)
+        // Corruption is the actionable cause when present — the missing
+        // slot was likely inside the torn record.
+        Err(match first_corrupt {
+            Some((index, detail)) => JournalError::Corrupt { index, detail },
+            None => JournalError::Gap {
+                slot: from_slot + by_slot.iter().position(Option::is_none).unwrap_or(0),
+            },
+        })
     }
 }
 
@@ -361,6 +365,32 @@ mod tests {
         match journal.replay_range(0, 3) {
             Err(JournalError::Gap { slot: 1 }) => {}
             other => panic!("expected Gap at 1, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn torn_record_before_the_range_does_not_block_replay() {
+        let mut journal = DecisionJournal::new();
+        for t in 0..8 {
+            journal.append(&record(t));
+        }
+        journal.corrupt_record(1);
+        journal.corrupt_record(5);
+        journal.append(&JournalRecord {
+            decided: vec![9],
+            ..record(7)
+        });
+        // Slot 7 was journaled twice: the later record wins.
+        let recs = journal
+            .replay_range(6, 8)
+            .expect("torn records lie outside the range");
+        assert_eq!(recs.iter().map(|r| r.t).collect::<Vec<_>>(), vec![6, 7]);
+        assert_eq!(recs[1].decided, vec![9]);
+        // A range that needs a torn record still fails, naming the lowest
+        // corrupt line.
+        match journal.replay_range(0, 8) {
+            Err(JournalError::Corrupt { index: 1, .. }) => {}
+            other => panic!("expected Corrupt at 1, got {other:?}"),
         }
     }
 }

@@ -108,6 +108,41 @@ fn inert_plan_recoverable_run_matches_run_experiment_with_bit_identically() {
 }
 
 #[test]
+fn plain_harness_ignores_controller_faults() {
+    let w = word_count().unwrap();
+    let run = |plan: FaultPlan| {
+        let mut sim = make_sim(plan, SEED);
+        let mut scaler = dragster::core::Dragster::new(
+            w.app.topology.clone(),
+            dragster::core::DragsterConfig::saddle_point(),
+        );
+        let mut arrival = ConstantArrival(w.high_rate.clone());
+        run_experiment_with(
+            &mut sim,
+            &mut scaler,
+            &mut arrival,
+            SLOTS,
+            ExperimentOptions::default(),
+        )
+        .unwrap()
+    };
+    let controller_faults = FaultPlan {
+        scripted: crash_at(4).scripted,
+        rates: FaultRates {
+            controller_crash_prob: 0.5,
+            ..Default::default()
+        },
+    };
+    let faulted = run(controller_faults);
+    assert_eq!(faulted.controller_crashes, 0);
+    assert_eq!(
+        faulted,
+        run(FaultPlan::none()),
+        "controller faults must not reach run_experiment_with"
+    );
+}
+
+#[test]
 fn crash_restore_replay_is_bit_identical_at_every_probe_slot() {
     let clean = run_recoverable(FaultPlan::none(), SEED, SLOTS, RecoveryOptions::default());
     for k in [1, SLOTS / 2, SLOTS - 1] {
@@ -147,6 +182,37 @@ fn sparse_checkpoints_replay_journal_records_to_the_crash_point() {
         crashed.recovery_events
     );
     assert_data_plane_identical(&clean, &crashed, "sparse-checkpoint crash at slot 9");
+}
+
+#[test]
+fn crash_inside_a_retry_backoff_replays_the_backoff() {
+    let reconfig_fail = |slot| ScriptedFault {
+        slot,
+        kind: FaultKind::ReconfigFail,
+        operator: None,
+        severity: 1.0,
+        duration_slots: 1,
+    };
+    let failures = FaultPlan::none()
+        .with(reconfig_fail(2))
+        .with(reconfig_fail(3))
+        .with(reconfig_fail(5));
+    let rec = RecoveryOptions {
+        checkpoint_every: 4,
+        ..Default::default()
+    };
+    let clean = run_recoverable(failures.clone(), SEED, SLOTS, rec);
+    assert!(clean.reconfig_failures >= 2, "{}", clean.reconfig_failures);
+    assert!(clean.held_slots >= 1, "backoff must hold at least one slot");
+    // Checkpoints land at slots 0, 4 and 8, so every crash replays journal
+    // records, some of them failed attempts the backoff depends on.
+    for k in 3..9 {
+        let mut plan = failures.clone();
+        plan.scripted.extend(crash_at(k).scripted);
+        let crashed = run_recoverable(plan, SEED, SLOTS, rec);
+        assert_eq!(crashed.controller_crashes, 1);
+        assert_data_plane_identical(&clean, &crashed, &format!("crash at slot {k}"));
+    }
 }
 
 #[test]
